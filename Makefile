@@ -33,8 +33,11 @@ lint: vet
 # transitions, the probe loop, and the pipelined transport's reader/
 # writer/watchdog goroutines all run real goroutines over loopback. The
 # proto package rides along for its pooled frame and struct lifecycles.
+# The second run repeats the server connection tests on one P, so the
+# single-core schedule is exercised on multi-core runners too.
 race:
-	$(GO) vet ./... && $(GO) test -race ./internal/kvstore/... ./internal/proto/...
+	$(GO) vet ./... && $(GO) test -race ./internal/kvstore/... ./internal/proto/... && \
+	$(GO) test -race -cpu 1 -run 'TestPipeline|TestBackend|TestFrontendOwn|TestFrontendIdle|TestTierLoadHint|TestCloseLeaves' ./internal/kvstore/
 
 # Chaos suite: the cluster driven through faultnet fault schedules
 # (floods, latency, truncation, flapping partitions) under -race, plus

@@ -156,10 +156,7 @@ func main() {
 		for _, depth := range depths {
 			// One caller per window slot keeps the pipe full at every
 			// GOMAXPROCS: cooperative scheduling drains every runnable
-			// caller between syscalls, and the server's inline fast path
-			// means extra callers no longer buy extra goroutine churn on
-			// an oversubscribed core (measured 388k vs 354k ops/s at
-			// gmp=4 depth=64 with 64 callers vs 32).
+			// caller between syscalls.
 			callers := depth
 			if callers < 2*g {
 				callers = 2 * g

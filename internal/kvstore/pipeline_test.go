@@ -301,6 +301,58 @@ func TestPipelineLegacyInterop(t *testing.T) {
 	}
 }
 
+// TestPipelineRejectsLockstepAfterUpgrade: once a conn has carried a
+// correlated frame it is pipelined for life, and a later corr-0 frame
+// means the stream is corrupt, so the server closes the conn. Both
+// servers share the rule.
+func TestPipelineRejectsLockstepAfterUpgrade(t *testing.T) {
+	checkGoroutineLeaks(t)
+	for _, tc := range []struct {
+		name  string
+		start func(t *testing.T) string
+	}{
+		{"backend", func(t *testing.T) string {
+			b, addr, err := StartBackend(0, "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { b.Close() })
+			return addr
+		}},
+		{"frontend", func(t *testing.T) string {
+			return startCluster(t, LocalConfig{Nodes: 1, Replication: 1, PartitionSeed: 5}).FrontendAddr
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			conn, err := net.Dial("tcp", tc.start(t))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			conn.SetDeadline(time.Now().Add(3 * time.Second))
+			r := bufio.NewReader(conn)
+			if err := proto.WriteRequest(conn, &proto.Request{Op: proto.OpPing, Corr: 1}); err != nil {
+				t.Fatal(err)
+			}
+			resp, err := proto.ReadResponse(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.Corr != 1 || resp.Status != proto.StatusOK {
+				t.Fatalf("pipelined Ping: corr=%d status=%v, want corr=1 OK", resp.Corr, resp.Status)
+			}
+			if err := proto.WriteRequest(conn, &proto.Request{Op: proto.OpPing}); err != nil {
+				t.Fatal(err)
+			}
+			if resp, err := proto.ReadResponse(r); err == nil {
+				t.Fatalf("corr-0 frame after the upgrade was answered (corr=%d status=%v)", resp.Corr, resp.Status)
+			} else if isTimeout(err) {
+				t.Fatal("server kept the conn open after a corr-0 frame on a pipelined stream")
+			}
+		})
+	}
+}
+
 // waitUntil polls cond until it holds or the deadline passes.
 func waitUntil(d time.Duration, cond func() bool) error {
 	deadline := time.Now().Add(d)

@@ -13,45 +13,60 @@ import (
 	"securecache/internal/proto"
 )
 
+// wireTransports are the two client transports the admission tests run
+// over: lockstep frames take the server's in-order loop, correlated
+// frames upgrade the conn to the pipelined worker pool.
+var wireTransports = []struct {
+	name  string
+	depth int // ClientConfig.PipelineDepth
+}{
+	{"lockstep", 0},
+	{"pipelined", 8},
+}
+
 // TestBackendShedsOnRateLimit: requests beyond the token bucket come
 // back StatusBusy (ErrBusy to the caller) instead of queueing, and the
 // shed is counted. Ping is exempt so probes keep working.
 func TestBackendShedsOnRateLimit(t *testing.T) {
-	checkGoroutineLeaks(t)
-	b, addr, err := StartBackendWithLimits(0, "127.0.0.1:0",
-		overload.Limits{RateLimit: 5, RateBurst: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	b.Store().Set("k", []byte("v"))
+	for _, tr := range wireTransports {
+		t.Run(tr.name, func(t *testing.T) {
+			checkGoroutineLeaks(t)
+			b, addr, err := StartBackendWithLimits(0, "127.0.0.1:0",
+				overload.Limits{RateLimit: 5, RateBurst: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer b.Close()
+			b.Store().Set("k", []byte("v"))
 
-	c := NewClientWithConfig(addr, ClientConfig{MaxRetries: -1})
-	defer c.Close()
+			c := NewClientWithConfig(addr, ClientConfig{MaxRetries: -1, PipelineDepth: tr.depth})
+			defer c.Close()
 
-	var ok, busy int
-	for i := 0; i < 40; i++ {
-		_, err := c.Get("k")
-		switch {
-		case err == nil:
-			ok++
-		case errors.Is(err, ErrBusy):
-			busy++
-		default:
-			t.Fatalf("Get %d: %v", i, err)
-		}
-	}
-	if ok == 0 || busy == 0 {
-		t.Fatalf("ok=%d busy=%d; want both non-zero under a rate limit", ok, busy)
-	}
-	if got := b.Metrics().Counter("shed_total").Value(); got != uint64(busy) {
-		t.Errorf("shed_total = %d, want %d", got, busy)
-	}
-	// Probes bypass admission: a saturated node still answers Ping.
-	for i := 0; i < 10; i++ {
-		if err := c.Ping(); err != nil {
-			t.Fatalf("Ping %d on saturated node: %v", i, err)
-		}
+			var ok, busy int
+			for i := 0; i < 40; i++ {
+				_, err := c.Get("k")
+				switch {
+				case err == nil:
+					ok++
+				case errors.Is(err, ErrBusy):
+					busy++
+				default:
+					t.Fatalf("Get %d: %v", i, err)
+				}
+			}
+			if ok == 0 || busy == 0 {
+				t.Fatalf("ok=%d busy=%d; want both non-zero under a rate limit", ok, busy)
+			}
+			if got := b.Metrics().Counter("shed_total").Value(); got != uint64(busy) {
+				t.Errorf("shed_total = %d, want %d", got, busy)
+			}
+			// Probes bypass admission: a saturated node still answers Ping.
+			for i := 0; i < 10; i++ {
+				if err := c.Ping(); err != nil {
+					t.Fatalf("Ping %d on saturated node: %v", i, err)
+				}
+			}
+		})
 	}
 }
 
@@ -157,6 +172,66 @@ func TestBackendMaxInflightSheds(t *testing.T) {
 	})
 }
 
+// TestBackendSlowReaderIsDropped is the regression test for a peer
+// that requests a large value and never reads it: with an idle timeout
+// set, the write of the response times out and the conn is closed,
+// freeing what it pinned — in lockstep the in-flight slot, on a
+// pipelined conn (which frees the in-flight slot early) the conn slot.
+func TestBackendSlowReaderIsDropped(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		lim  overload.Limits
+		corr uint64
+	}{
+		{"lockstep", overload.Limits{MaxInflight: 1, AdmissionWait: -1}, 0},
+		{"pipelined", overload.Limits{MaxConns: 1}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			checkGoroutineLeaks(t)
+			b, addr, err := StartBackendWithLimits(0, "127.0.0.1:0", tc.lim)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer b.Close()
+			b.SetIdleTimeout(100 * time.Millisecond)
+			big := make([]byte, 4<<20)
+			b.Store().Set("big", big)
+			b.Store().Set("small", []byte("v"))
+
+			slow, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer slow.Close()
+			if err := proto.WriteRequest(slow, &proto.Request{Op: proto.OpGet, Key: "big", Corr: tc.corr}); err != nil {
+				t.Fatal(err)
+			}
+			// Wait until the slow request holds its slots before anyone
+			// else competes for them.
+			waitFor(t, 2*time.Second, func() bool {
+				return b.Metrics().Counter("requests_total").Value() > 0
+			})
+
+			c := NewClientWithConfig(addr, ClientConfig{MaxRetries: -1})
+			defer c.Close()
+			var lastErr error
+			waitFor(t, 3*time.Second, func() bool {
+				_, lastErr = c.Get("small")
+				return lastErr == nil
+			})
+			if lastErr != nil {
+				t.Fatalf("Get(small) while a non-reading peer pins the backend: %v", lastErr)
+			}
+			// The slow conn was cut mid-response: draining it now ends
+			// short of the full frame.
+			slow.SetReadDeadline(time.Now().Add(3 * time.Second))
+			if n, _ := io.Copy(io.Discard, slow); n >= int64(len(big)) {
+				t.Fatalf("non-reading peer later drained %d bytes: the full response was written", n)
+			}
+		})
+	}
+}
+
 // TestFrontendFailsOverOnBusyWithoutTrippingBreaker is the core
 // semantic test: a shedding backend is alive, so the frontend must
 // fail over to a replica AND keep the shedding node's breaker closed.
@@ -221,32 +296,36 @@ func TestFrontendFailsOverOnBusyWithoutTrippingBreaker(t *testing.T) {
 // TestFrontendOwnListenerSheds: the frontend applies the same admission
 // control to its own clients, answering StatusBusy past its limits.
 func TestFrontendOwnListenerSheds(t *testing.T) {
-	checkGoroutineLeaks(t)
-	lc := startCluster(t, LocalConfig{
-		Nodes: 2, Replication: 2, PartitionSeed: 17,
-		FrontendLimits: overload.Limits{RateLimit: 5, RateBurst: 2},
-		Client:         ClientConfig{MaxRetries: -1},
-	})
-	c := NewClientWithConfig(lc.FrontendAddr, ClientConfig{MaxRetries: -1})
-	defer c.Close()
-	if err := c.Set("fk", []byte("v")); err != nil && !errors.Is(err, ErrBusy) {
-		t.Fatal(err)
-	}
-	var busy int
-	for i := 0; i < 40; i++ {
-		if _, err := c.Get("fk"); errors.Is(err, ErrBusy) {
-			busy++
-		}
-	}
-	if busy == 0 {
-		t.Fatal("frontend shed nothing past its rate limit")
-	}
-	if got := lc.Frontend.Metrics().Counter("shed_total").Value(); got == 0 {
-		t.Error("frontend shed_total = 0")
-	}
-	// Stats stays reachable on a saturated frontend (exempt op).
-	if _, err := c.Stats(); err != nil {
-		t.Errorf("Stats on saturated frontend: %v", err)
+	for _, tr := range wireTransports {
+		t.Run(tr.name, func(t *testing.T) {
+			checkGoroutineLeaks(t)
+			lc := startCluster(t, LocalConfig{
+				Nodes: 2, Replication: 2, PartitionSeed: 17,
+				FrontendLimits: overload.Limits{RateLimit: 5, RateBurst: 2},
+				Client:         ClientConfig{MaxRetries: -1},
+			})
+			c := NewClientWithConfig(lc.FrontendAddr, ClientConfig{MaxRetries: -1, PipelineDepth: tr.depth})
+			defer c.Close()
+			if err := c.Set("fk", []byte("v")); err != nil && !errors.Is(err, ErrBusy) {
+				t.Fatal(err)
+			}
+			var busy int
+			for i := 0; i < 40; i++ {
+				if _, err := c.Get("fk"); errors.Is(err, ErrBusy) {
+					busy++
+				}
+			}
+			if busy == 0 {
+				t.Fatal("frontend shed nothing past its rate limit")
+			}
+			if got := lc.Frontend.Metrics().Counter("shed_total").Value(); got == 0 {
+				t.Error("frontend shed_total = 0")
+			}
+			// Stats stays reachable on a saturated frontend (exempt op).
+			if _, err := c.Stats(); err != nil {
+				t.Errorf("Stats on saturated frontend: %v", err)
+			}
+		})
 	}
 }
 

@@ -3,6 +3,7 @@ package kvstore
 import (
 	"bytes"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -133,46 +134,54 @@ func TestTierCacheAdmissionFilter(t *testing.T) {
 
 // TestTierLoadHintPiggyback verifies the wire plumbing end to end: tier
 // frontends stamp every response frame with a load hint and the client
-// hook sees it; non-tier frontends leave frames unhinted.
+// hook sees it; non-tier frontends leave frames unhinted. The counters
+// are atomic because a pipelined client fires the hook from its reader
+// goroutine.
 func TestTierLoadHintPiggyback(t *testing.T) {
-	tcl, err := StartTierCluster(TierLocalConfig{
-		Nodes: 2, Replication: 1, Frontends: 2,
-		PartitionSeed: 73, TierSeed: 7300,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tcl.Close()
-	hints := 0
-	c := NewClientWithConfig(tcl.FrontendAddrs[0], ClientConfig{
-		OnLoadHint: func(uint32) { hints++ },
-	})
-	defer c.Close()
-	if err := c.Set(tierKey(0), tierVal(0, 0)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Get(tierKey(0)); err != nil {
-		t.Fatal(err)
-	}
-	if hints != 2 {
-		t.Fatalf("load-hint hook fired %d times over 2 tier exchanges", hints)
-	}
+	for _, tr := range wireTransports {
+		t.Run(tr.name, func(t *testing.T) {
+			tcl, err := StartTierCluster(TierLocalConfig{
+				Nodes: 2, Replication: 1, Frontends: 2,
+				PartitionSeed: 73, TierSeed: 7300,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tcl.Close()
+			var hints atomic.Int64
+			c := NewClientWithConfig(tcl.FrontendAddrs[0], ClientConfig{
+				PipelineDepth: tr.depth,
+				OnLoadHint:    func(uint32) { hints.Add(1) },
+			})
+			defer c.Close()
+			if err := c.Set(tierKey(0), tierVal(0, 0)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.Get(tierKey(0)); err != nil {
+				t.Fatal(err)
+			}
+			if n := hints.Load(); n != 2 {
+				t.Fatalf("load-hint hook fired %d times over 2 tier exchanges", n)
+			}
 
-	lc, err := StartLocalCluster(LocalConfig{Nodes: 2, Replication: 1, PartitionSeed: 74})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lc.Close()
-	plainHints := 0
-	pc := NewClientWithConfig(lc.FrontendAddr, ClientConfig{
-		OnLoadHint: func(uint32) { plainHints++ },
-	})
-	defer pc.Close()
-	if err := pc.Set(tierKey(0), tierVal(0, 0)); err != nil {
-		t.Fatal(err)
-	}
-	if plainHints != 0 {
-		t.Fatalf("non-tier frontend stamped %d load hints", plainHints)
+			lc, err := StartLocalCluster(LocalConfig{Nodes: 2, Replication: 1, PartitionSeed: 74})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer lc.Close()
+			var plainHints atomic.Int64
+			pc := NewClientWithConfig(lc.FrontendAddr, ClientConfig{
+				PipelineDepth: tr.depth,
+				OnLoadHint:    func(uint32) { plainHints.Add(1) },
+			})
+			defer pc.Close()
+			if err := pc.Set(tierKey(0), tierVal(0, 0)); err != nil {
+				t.Fatal(err)
+			}
+			if n := plainHints.Load(); n != 0 {
+				t.Fatalf("non-tier frontend stamped %d load hints", n)
+			}
+		})
 	}
 }
 
