@@ -4,9 +4,10 @@
 // OpCas frames carry an expected version and return the current one on
 // conflict, so read-modify-write cycles stay lost-update-free across
 // the quorum). By default state lives in memory only; -data-dir attaches
-// a write-ahead log so a crashed node replays back to its exact
-// pre-crash keyset instead of rejoining empty and being refilled over
-// the network.
+// a write-ahead log, the node's one persistence format: a crashed or
+// restarted node replays it back to its exact pre-crash keyset instead
+// of rejoining empty and being refilled over the network. SIGTERM closes
+// the node, which fsyncs and closes the log.
 //
 // Usage:
 //
@@ -35,12 +36,10 @@ import (
 
 func main() {
 	var (
-		id       = flag.Int("id", 0, "node ID (for logs/stats)")
-		listen   = flag.String("listen", "127.0.0.1:7001", "listen address")
-		admin    = flag.String("admin", "", "optional HTTP admin address (/healthz, /metrics, /info)")
-		snapshot = flag.String("snapshot", "", "snapshot file: restored at startup if present, written on shutdown")
-		snapEach = flag.Duration("snapshot-interval", 0, "also write the snapshot periodically at this interval (0 = shutdown only; needs -snapshot)")
-		idle     = flag.Duration("idle-timeout", 0, "drop connections idle longer than this (0 = keep forever)")
+		id     = flag.Int("id", 0, "node ID (for logs/stats)")
+		listen = flag.String("listen", "127.0.0.1:7001", "listen address")
+		admin  = flag.String("admin", "", "optional HTTP admin address (/healthz, /metrics, /info)")
+		idle   = flag.Duration("idle-timeout", 0, "drop connections idle longer than this (0 = keep forever)")
 
 		dataDir  = flag.String("data-dir", "", "write-ahead log directory: replayed at startup, every write logged (empty = memory-only)")
 		walSeg   = flag.Int64("wal-segment-bytes", 0, "seal WAL segments at this size (0 = default 64MiB)")
@@ -73,7 +72,6 @@ func main() {
 	node.SetIdleTimeout(*idle)
 	log.Printf("kvnode %d listening on %s", *id, l.Addr())
 
-	walReplayed := false
 	if *dataDir != "" {
 		recovered, err := node.OpenData(*dataDir, wal.Options{
 			SegmentBytes:    *walSeg,
@@ -93,44 +91,11 @@ func main() {
 			log.Printf("kvnode %d: data dir %s was corrupt — quarantined to %s.corrupt, starting empty for repair",
 				*id, *dataDir, *dataDir)
 		case st.Replayed > 0:
-			walReplayed = true
 			log.Printf("kvnode %d: replayed %d keys from %s (%d torn records truncated, %d hint loads, %d hint fallbacks)",
 				*id, st.Replayed, *dataDir, st.TornTruncations, st.HintLoads, st.HintFallbacks)
 		default:
 			log.Printf("kvnode %d: opened empty data dir %s", *id, *dataDir)
 		}
-	}
-
-	if *snapshot != "" && walReplayed {
-		// The WAL holds every write the snapshot does and more (it sees
-		// each mutation, the snapshot only period boundaries): the log is
-		// the source of truth once it has content. The snapshot file keeps
-		// being written (shutdown/periodic) as an operator artifact.
-		log.Printf("kvnode %d: WAL replayed; skipping snapshot restore from %s", *id, *snapshot)
-	} else if *snapshot != "" {
-		// With an attached (empty) WAL this load is also the migration
-		// path: restored entries write through into the log, so the next
-		// boot replays them without the snapshot.
-		switch err := node.LoadSnapshot(*snapshot); {
-		case err == nil:
-			log.Printf("kvnode %d restored %d keys from %s", *id, node.Store().Len(), *snapshot)
-		case os.IsNotExist(err):
-			log.Printf("kvnode %d: no snapshot at %s, starting empty", *id, *snapshot)
-		default:
-			// A corrupt or truncated snapshot must not keep the node down:
-			// an empty replica rejoins and is refilled by hinted handoff
-			// and anti-entropy, while a crash-looping one serves nobody.
-			log.Printf("kvnode %d: snapshot %s unreadable (%v), starting empty", *id, *snapshot, err)
-		}
-	}
-	if *snapEach > 0 {
-		if *snapshot == "" {
-			fmt.Fprintln(os.Stderr, "kvnode: -snapshot-interval needs -snapshot")
-			os.Exit(2)
-		}
-		stop := node.StartSnapshots(*snapshot, *snapEach)
-		defer stop()
-		log.Printf("kvnode %d: snapshotting to %s every %s", *id, *snapshot, *snapEach)
 	}
 
 	if *admin != "" {
@@ -160,13 +125,6 @@ func main() {
 		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 		<-sig
 		log.Printf("kvnode %d shutting down", *id)
-		if *snapshot != "" {
-			if err := node.SaveSnapshot(*snapshot); err != nil {
-				log.Printf("kvnode %d: snapshot: %v", *id, err)
-			} else {
-				log.Printf("kvnode %d: snapshot saved to %s", *id, *snapshot)
-			}
-		}
 		node.Close()
 	}()
 

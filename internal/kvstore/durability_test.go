@@ -363,10 +363,10 @@ func TestPartialDelCannotResurrect(t *testing.T) {
 }
 
 // TestStaleReplicaConvergesAfterPartialSet pins the stale-read
-// regression end to end, through the crash-safe snapshot machinery: a
-// replica crashes with the OLD value durably on disk, misses an
-// overwrite, restarts from its snapshot (stale, not empty), and the
-// queued hint must out-version the restored entry and converge it.
+// regression end to end, through the write-ahead log: a replica crashes
+// with the OLD value durably on disk, misses an overwrite, restarts by
+// replaying its data dir (stale, not empty), and the queued hint must
+// out-version the replayed entry and converge it.
 func TestStaleReplicaConvergesAfterPartialSet(t *testing.T) {
 	checkGoroutineLeaks(t)
 	backends, addrs, proxy, crashAddr := crashableCluster(t, 3)
@@ -376,6 +376,10 @@ func TestStaleReplicaConvergesAfterPartialSet(t *testing.T) {
 		}
 	}()
 	defer proxy.Close()
+	dataDir := filepath.Join(t.TempDir(), "node2")
+	if _, err := backends[2].OpenData(dataDir, walTestOpts()); err != nil {
+		t.Fatal(err)
+	}
 	f, err := NewFrontend(FrontendConfig{
 		BackendAddrs:   addrs,
 		Replication:    3, // W defaults to 2
@@ -397,10 +401,6 @@ func TestStaleReplicaConvergesAfterPartialSet(t *testing.T) {
 	if !ok || oldVer == 0 {
 		t.Fatalf("node 2 missing the seeded write (ok=%v ver=%d)", ok, oldVer)
 	}
-	snap := filepath.Join(t.TempDir(), "node2.snap")
-	if err := backends[2].SaveSnapshot(snap); err != nil {
-		t.Fatal(err)
-	}
 	crashNode2(backends, proxy)
 
 	// The overwrite reaches only the two survivors: quorum met, hint
@@ -412,15 +412,15 @@ func TestStaleReplicaConvergesAfterPartialSet(t *testing.T) {
 		t.Fatal("no hint queued for the crashed replica")
 	}
 
-	// Restart node 2 from its crash-consistent snapshot: it comes back
-	// holding "old" — at its original version, which is what lets the
-	// hint win deterministically.
+	// Restart node 2 from its data dir: it comes back holding "old" — at
+	// its original version, which is what lets the hint win
+	// deterministically.
 	b2 := NewBackend(2)
-	if err := b2.LoadSnapshot(snap); err != nil {
+	if _, err := b2.OpenData(dataDir, walTestOpts()); err != nil {
 		t.Fatal(err)
 	}
 	if v, _, ver, _, ok := b2.Store().GetVersioned(key); !ok || ver != oldVer || !bytes.Equal(v, []byte("old")) {
-		t.Fatalf("snapshot restore lost version fidelity: %q ver=%d ok=%v (want %q ver=%d)",
+		t.Fatalf("WAL replay lost version fidelity: %q ver=%d ok=%v (want %q ver=%d)",
 			v, ver, ok, "old", oldVer)
 	}
 	var l net.Listener

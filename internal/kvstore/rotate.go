@@ -259,9 +259,28 @@ func (f *Frontend) fetchFromReplicas(key string) ([]byte, error) {
 // fetchReplicasVersioned is fetchFromReplicas with the winning replica's
 // logical version threaded through (a tombstone miss reports the
 // tombstone's version alongside the NotFound-class error).
+//
+// A miss only holds for the mapping it was read under. If an epoch
+// change began while the read ran, a migration (or a read repair by a
+// concurrent reader) may already have re-homed the key and purged it
+// from every replica this read consulted, so the miss is retried under
+// the new mapping. Epochs only move forward, so the loop ends.
 func (f *Frontend) fetchReplicasVersioned(key string) ([]byte, uint64, error) {
+	for {
+		epoch, cur, prev := f.part.Snapshot()
+		v, ver, err := f.fetchGenerations(key, cur, prev)
+		if errors.Is(err, ErrNotFound) && f.part.Epoch() != epoch {
+			continue
+		}
+		return v, ver, err
+	}
+}
+
+// fetchGenerations is one read under one partition snapshot: the
+// current group, then (during a rotation, on a clean miss) the previous
+// generation's group.
+func (f *Frontend) fetchGenerations(key string, cur, prev partition.Partitioner) ([]byte, uint64, error) {
 	id := KeyID(key)
-	_, cur, prev := f.part.Snapshot()
 	if prev == nil || f.part.Migrated(id) {
 		return f.fetchGroupVersioned(key, f.orderedGroup(cur.Group(id)))
 	}

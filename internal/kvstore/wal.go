@@ -74,8 +74,7 @@ func (s *Store) applyReplayed(rec wal.Record) error {
 // before Serve. recovered reports the quarantine path: a directory
 // replay rejected as corrupt (wal.ErrBadSegment) is renamed aside to
 // dir+".corrupt", the store is reset, and the node starts empty on a
-// fresh log — replica repair refills it, exactly the contract corrupt
-// snapshots already have (ErrBadSnapshot). Errors that are not
+// fresh log — replica repair refills it. Errors that are not
 // corruption (permissions, disk full) fail the open outright: starting
 // a non-durable node silently is worse than not starting.
 func (b *Backend) OpenData(dir string, opts wal.Options) (recovered bool, err error) {

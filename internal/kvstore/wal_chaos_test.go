@@ -188,6 +188,17 @@ func TestChaosWarmRestart(t *testing.T) {
 			}
 		}
 	}
+
+	// A replayed tombstone still guards its key: a versioned write below
+	// the delete's version (a late hint, a stale repair) must not land.
+	del := testKeyName(0)
+	_, epoch, tombVer, tomb, ok := b0r.Store().GetVersioned(del)
+	if !ok || !tomb || tombVer < 2 {
+		t.Fatalf("deleted key %s after restart: tomb=%v ok=%v ver=%d; want a versioned tombstone", del, tomb, ok, tombVer)
+	}
+	if b0r.Store().SetVersioned(del, []byte("stale"), epoch, tombVer-1) {
+		t.Fatalf("stale versioned write below the replayed tombstone (ver %d) of %s was applied", tombVer, del)
+	}
 }
 
 // activeSegment returns the path of the highest-numbered segment file —
@@ -421,4 +432,46 @@ func TestChaosTruncatedHintFallsBack(t *testing.T) {
 		t.Error("intact hints were not used")
 	}
 	diffFingerprints(t, want, storeFingerprint(b0r.Store()))
+}
+
+// TestSnapshotV2PersistsVersionsAndTombstones: the node's durable image
+// (its WAL data directory) carries the full versioned state, not just
+// values — epoch and version per key, tombstones, and unversioned
+// legacy entries — and a restored tombstone still blocks a stale
+// versioned write.
+func TestSnapshotV2PersistsVersionsAndTombstones(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "data")
+	src := NewStore()
+	l, err := wal.Open(dir, walTestOpts(), src.applyReplayed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src.AttachWAL(l)
+	src.SetVersioned("live", []byte("v"), 3, 10)
+	src.SetVersioned("gone", []byte("x"), 3, 4)
+	src.DeleteVersioned("gone", 3, 7)
+	src.Set("legacy", []byte("old")) // unversioned, epoch 0
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	dst := NewStore()
+	l, err = wal.Open(dir, walTestOpts(), dst.applyReplayed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if v, epoch, ver, tomb, ok := dst.GetVersioned("live"); !ok || tomb || ver != 10 || epoch != 3 || string(v) != "v" {
+		t.Errorf("live: v=%q epoch=%d ver=%d tomb=%v ok=%v", v, epoch, ver, tomb, ok)
+	}
+	if _, _, ver, tomb, ok := dst.GetVersioned("gone"); !ok || !tomb || ver != 7 {
+		t.Errorf("tombstone lost across restart: ver=%d tomb=%v ok=%v", ver, tomb, ok)
+	}
+	// The restored tombstone must still block stale replays.
+	if dst.SetVersioned("gone", []byte("zombie"), 3, 5) {
+		t.Error("restored tombstone failed to block a stale write")
+	}
+	if v, ok := dst.Get("legacy"); !ok || string(v) != "old" {
+		t.Errorf("legacy entry: %q, %v", v, ok)
+	}
 }

@@ -25,8 +25,7 @@
 // anywhere data was supposed to be stable — a sealed segment, or
 // mid-file with valid records after it — is corruption, not a torn
 // write, and surfaces as ErrBadSegment so the caller can fall back to
-// start-empty-and-repair (the same contract kvstore's ErrBadSnapshot
-// has).
+// start-empty-and-repair.
 package wal
 
 import (
@@ -54,7 +53,7 @@ const (
 // mismatch on stable data, an impossible record header mid-file, or a
 // manifest referencing a segment that is gone. Callers should treat the
 // whole directory as suspect (quarantine it and start empty — repair
-// refills the node), exactly as kvstore treats ErrBadSnapshot.
+// refills the node), as kvstore's Backend.OpenData does.
 var ErrBadSegment = errors.New("wal: bad segment")
 
 // ErrClosed reports an append or merge against a closed log.
@@ -472,14 +471,27 @@ func (l *Log) shouldMergeLocked() bool {
 	return size > 0 && float64(dead)/float64(size) >= l.opts.MergeRatio
 }
 
-// Sync flushes the active segment to stable storage.
+// fsyncFile is the fsync Sync issues; tests swap it to hold a sync
+// open while other calls run.
+var fsyncFile = (*os.File).Sync
+
+// Sync flushes the active segment to stable storage. The fsync runs
+// outside mu, so appends (which the store issues under its shard locks)
+// keep landing while the disk flushes. Every record written before the
+// call is in the file Sync captured; if rotation or Close has since
+// closed that file, they synced it first, so os.ErrClosed means the
+// records are already durable.
 func (l *Log) Sync() error {
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed || l.active == nil {
+	f := l.active // nil once Close has run
+	l.mu.Unlock()
+	if f == nil {
 		return nil
 	}
-	return l.active.Sync()
+	if err := fsyncFile(f); err != nil && !errors.Is(err, os.ErrClosed) {
+		return err
+	}
+	return nil
 }
 
 func (l *Log) syncLoop(every time.Duration) {
